@@ -135,79 +135,99 @@ ThroughputResult BenchDriver::MeasureThroughput(
   sim::SimExecutor executor(MakeSimConfig(workers));
   executor.page_cache().Reset();
 
+  // A flight is harvested inside the admit callback as soon as its
+  // context drains: its result is kept and its run and context are freed,
+  // so memory follows the queries in flight, not the queries admitted.
+  struct Finished {
+    topk::SearchResult search;
+    exec::VirtualTime end = 0;
+  };
   struct InFlight {
+    std::size_t slot = 0;  // index into the caller's Finished vector
     std::unique_ptr<exec::QueryContext> ctx;
     std::unique_ptr<topk::QueryRun> run;
-    const corpus::Query* query = nullptr;
+  };
+  const auto admit_query = [&](exec::VirtualTime now,
+                               const corpus::Query& query, std::size_t slot,
+                               std::vector<InFlight>& active) {
+    InFlight flight;
+    flight.slot = slot;
+    flight.ctx = executor.CreateQueryAt(now);
+    if (params.deadline != exec::kNever) {
+      flight.ctx->set_deadline(now + params.deadline);
+    }
+    flight.run = algo.Prepare(dataset_.index(), query, params, *flight.ctx);
+    flight.run->Start();
+    active.push_back(std::move(flight));
+  };
+  const auto harvest = [](std::vector<InFlight>& active,
+                          std::vector<Finished>& finished) {
+    for (std::size_t i = 0; i < active.size();) {
+      InFlight& f = active[i];
+      if (f.ctx->outstanding_jobs() != 0) {
+        ++i;
+        continue;
+      }
+      finished[f.slot] = {f.run->TakeResult(), f.ctx->end_time()};
+      f.run.reset();  // before the context it refers to
+      f.ctx.reset();
+      std::swap(f, active.back());
+      active.pop_back();
+    }
   };
 
   // Warmup drain: the first `warmup` queries run to completion and warm
   // the page cache, but their drain is excluded from the measured
   // makespan (the post-drain barrier restarts the clock baseline).
   if (warmup > 0) {
-    std::vector<InFlight> discard;
-    discard.reserve(warmup);
+    std::vector<InFlight> active;
+    std::vector<Finished> discard(warmup);
     std::size_t next_warm = 0;
     executor.Drain([&](exec::VirtualTime now) -> bool {
+      harvest(active, discard);
       if (next_warm >= warmup) return false;
-      InFlight flight;
-      flight.query = &queries[next_warm];
-      flight.ctx = executor.CreateQueryAt(now);
-      if (params.deadline != exec::kNever) {
-        flight.ctx->set_deadline(now + params.deadline);
-      }
-      flight.run = algo.Prepare(dataset_.index(), *flight.query, params,
-                                *flight.ctx);
-      flight.run->Start();
-      discard.push_back(std::move(flight));
+      admit_query(now, queries[next_warm], next_warm, active);
       ++next_warm;
       return next_warm < warmup;
     });
-    for (auto& flight : discard) (void)flight.run->TakeResult();
+    harvest(active, discard);
+    SPARTA_CHECK(active.empty());
     executor.SyncBarrier();
   }
   const std::span<const corpus::Query> measured = queries.subspan(warmup);
 
-  std::vector<InFlight> flights;
-  flights.reserve(measured.size());
-
+  std::vector<InFlight> active;
+  std::vector<Finished> finished(measured.size());
   std::size_t next = 0;
   exec::VirtualTime first_admit = 0;
   const auto admit = [&](exec::VirtualTime now) -> bool {
+    harvest(active, finished);
     if (next >= measured.size()) return false;
     if (next == 0) first_admit = now;
-    InFlight flight;
-    flight.query = &measured[next];
-    flight.ctx = executor.CreateQueryAt(now);
-    if (params.deadline != exec::kNever) {
-      flight.ctx->set_deadline(now + params.deadline);
-    }
-    flight.run = algo.Prepare(dataset_.index(), *flight.query, params,
-                              *flight.ctx);
-    flight.run->Start();
-    flights.push_back(std::move(flight));
+    admit_query(now, measured[next], next, active);
     ++next;
     return next < measured.size();
   };
   executor.Drain(admit);
-  SPARTA_CHECK_MSG(!flights.empty(),
-                   "MeasureThroughput admitted zero queries");
+  harvest(active, finished);
+  SPARTA_CHECK(active.empty());
+  SPARTA_CHECK_MSG(next > 0, "MeasureThroughput admitted zero queries");
 
   ThroughputResult result;
-  result.queries = flights.size();
+  result.queries = next;
   exec::VirtualTime makespan_end = first_admit;
   double recall_sum = 0.0;
   std::size_t recall_n = 0;
-  for (auto& flight : flights) {
-    const auto search = flight.run->TakeResult();
+  for (std::size_t i = 0; i < next; ++i) {
+    const topk::SearchResult& search = finished[i].search;
     topk::ValidateQueryStats(search.stats, "MeasureThroughput");
     if (search.status == topk::ResultStatus::kOom) {
       ++result.oom;
       continue;
     }
     if (search.degraded()) ++result.degraded;
-    makespan_end = std::max(makespan_end, flight.ctx->end_time());
-    const auto& exact = Oracle(*flight.query, params.k);
+    makespan_end = std::max(makespan_end, finished[i].end);
+    const auto& exact = Oracle(measured[i], params.k);
     recall_sum += topk::Recall(exact, search.entries);
     ++recall_n;
   }

@@ -12,7 +12,7 @@
 namespace sparta::index {
 namespace {
 
-// Byte-identical to the SPARTA01 header (only the magic value changed):
+// Byte-identical to the SPARTA01 header (only the magic value changes):
 // section offsets derive from sizeof(Header), and the simulator charges
 // page I/O against those offsets even for in-memory indexes, so growing
 // the header would silently shift every modeled page boundary. Integrity
@@ -44,14 +44,25 @@ static_assert(sizeof(IntegrityFooter) % 8 == 0);
 
 constexpr std::uint64_t Align8(std::uint64_t x) { return (x + 7) & ~7ULL; }
 
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch torn writes
-/// and bit flips (this is an integrity check, not an adversarial MAC).
+/// FNV-1a 64-bit over 8-byte words, then the tail bytes: tiny,
+/// dependency-free, and plenty to catch torn writes and bit flips (this
+/// is an integrity check, not an adversarial MAC). Each step is a
+/// bijection of the state, so any single corrupted word changes the
+/// result.
 std::uint64_t Fnv1a64(const void* data, std::size_t size) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    hash ^= word;
+    hash *= kPrime;
+  }
+  for (; i < size; ++i) {
     hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
+    hash *= kPrime;
   }
   return hash;
 }
@@ -218,8 +229,14 @@ std::optional<InvertedIndex> LoadIndex(const std::string& path,
              "pre-checksum SPARTA01 index; rebuild with the current format");
     return std::nullopt;
   }
+  if (header.magic == kIndexMagicV2) {
+    SetError(error,
+             "bytewise-checksum SPARTA02 index; rebuild with the current "
+             "format");
+    return std::nullopt;
+  }
   if (header.magic != kIndexMagic) {
-    SetError(error, "bad magic: not a SPARTA02 index file");
+    SetError(error, "bad magic: not a SPARTA03 index file");
     return std::nullopt;
   }
 

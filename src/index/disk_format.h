@@ -7,7 +7,8 @@
 //   [doc-ordered postings]
 //   [impact-ordered postings]
 //   [block-max metadata]
-//   [IntegrityFooter]   FNV-1a 64 checksums: header + one per section
+//   [IntegrityFooter]   word-wide FNV-1a 64 checksums: header + one per
+//                       section
 //
 // The paper stores each index "on disk uncompressed as a collection of
 // binary files" (§5.1); we use one file with the same uncompressed fixed
@@ -15,7 +16,8 @@
 //
 // Integrity: a footer after the last section carries an FNV-1a 64
 // checksum of the header and of each payload section, all verified at
-// load. A torn or bit-flipped body is rejected with a section-naming
+// load. The hash folds in 8-byte words (bytes only for a short tail), so
+// verifying a large index costs a fraction of a bytewise pass. A torn or bit-flipped body is rejected with a section-naming
 // error instead of loading silently — which is also what makes the
 // live-update merge publish crash-safe: the new segment is written to a
 // temporary file, re-validated through this path, and only then renamed
@@ -35,11 +37,12 @@
 
 namespace sparta::index {
 
-/// Current format: "SPARTA02" (checksummed, with integrity footer).
-inline constexpr std::uint64_t kIndexMagic = 0x5350415254413032ULL;
-/// The pre-checksum "SPARTA01" format; recognized only to produce a
-/// clearer rejection message.
+/// Current format: "SPARTA03" (integrity footer, word-wide checksums).
+inline constexpr std::uint64_t kIndexMagic = 0x5350415254413033ULL;
+/// Older formats, recognized only to produce a clearer rejection
+/// message: "SPARTA01" had no checksums, "SPARTA02" checksummed bytewise.
 inline constexpr std::uint64_t kIndexMagicV1 = 0x5350415254413031ULL;
+inline constexpr std::uint64_t kIndexMagicV2 = 0x5350415254413032ULL;
 
 struct SectionLayout {
   std::uint64_t term_table_offset = 0;

@@ -248,6 +248,10 @@ LiveServeResult LiveServer::ServeOnSim(
       ServedQuery& rec = serve.queries[f.record];
       rec.completion = f.ctx->end_time();
       rec.result = f.run->TakeResult();
+      // Free the answered query's state now (run before context, and
+      // both before the pin they read through).
+      f.run.reset();
+      f.ctx.reset();
       rec.result.stats.latency = rec.completion - rec.dispatch;
       rec.result.stats.queue_wait = rec.QueueWait();
       rec.result.stats.admission_outcome = AdmissionOutcome::kAdmitted;

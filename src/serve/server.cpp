@@ -102,6 +102,11 @@ ServeResult Server::ServeOnSim(sim::SimExecutor& executor,
       ServedQuery& rec = result.queries[f.record];
       rec.completion = f.ctx->end_time();
       rec.result = f.run->TakeResult();
+      // The answer is out: free the query's docMap and snapshots now
+      // (the run first, it refers to its context) rather than at the
+      // end of the serve.
+      f.run.reset();
+      f.ctx.reset();
       rec.result.stats.latency = rec.completion - rec.dispatch;
       rec.result.stats.queue_wait = rec.QueueWait();
       rec.result.stats.admission_outcome = AdmissionOutcome::kAdmitted;

@@ -1,5 +1,9 @@
 #include "topk/doc_map.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -11,8 +15,8 @@ Score SumUpperBounds(const UpperBounds& ub) {
   return sum;
 }
 
-DocType::DocType(DocId id, int num_terms)
-    : score(static_cast<std::size_t>(num_terms)), id_(id) {}
+DocType::DocType(DocId id, std::span<std::atomic<Score>> score)
+    : score(score), id_(id) {}
 
 Score DocType::SumScores() const {
   Score sum = 0;
@@ -28,6 +32,68 @@ Score DocType::UpperBound(const UpperBounds& ub) const {
     sum += s > 0 ? s : ub[i].load(std::memory_order_relaxed);
   }
   return sum;
+}
+
+std::size_t DocIndex::HomeSlot(DocId doc) const {
+  return static_cast<std::size_t>(util::Mix64(doc) >> shift_);
+}
+
+DocType* DocIndex::Find(DocId doc) const {
+  if (keys_.empty()) return nullptr;
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t i = HomeSlot(doc);; i = (i + 1) & mask) {
+    if (keys_[i] == doc) return entries_[i];
+    if (keys_[i] == kInvalidDoc) return nullptr;
+  }
+}
+
+DocType* DocIndex::Insert(DocType* entry) {
+  const DocId doc = entry->id();
+  SPARTA_CHECK(doc != kInvalidDoc);
+  if (2 * (size_ + 1) > keys_.size()) Grow();
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t i = HomeSlot(doc);; i = (i + 1) & mask) {
+    if (keys_[i] == doc) return entries_[i];
+    if (keys_[i] == kInvalidDoc) {
+      keys_[i] = doc;
+      entries_[i] = entry;
+      ++size_;
+      return entry;
+    }
+  }
+}
+
+void DocIndex::Grow() {
+  const std::size_t slots = std::max<std::size_t>(16, 2 * keys_.size());
+  const std::vector<DocId> old_keys =
+      std::exchange(keys_, std::vector<DocId>(slots, kInvalidDoc));
+  const std::vector<DocType*> old_entries =
+      std::exchange(entries_, std::vector<DocType*>(slots));
+  shift_ = 64 - std::countr_zero(slots);
+  const std::size_t mask = slots - 1;
+  for (std::size_t j = 0; j < old_keys.size(); ++j) {
+    if (old_keys[j] == kInvalidDoc) continue;
+    std::size_t i = HomeSlot(old_keys[j]);
+    while (keys_[i] != kInvalidDoc) i = (i + 1) & mask;
+    keys_[i] = old_keys[j];
+    entries_[i] = old_entries[j];
+  }
+}
+
+std::span<std::atomic<Score>> ScoreSlab::Take(std::size_t n) {
+  if (n == 0) return {};
+  if (chunk_slots_ - used_ < n) {
+    chunk_slots_ = chunk_slots_ == 0
+                       ? 8 * n
+                       : std::min(2 * chunk_slots_,
+                                  std::max(kMaxChunkSlots, n));
+    // Value-initialized: every slot starts at 0 ("not yet seen").
+    chunks_.push_back(std::make_unique<std::atomic<Score>[]>(chunk_slots_));
+    used_ = 0;
+  }
+  const std::span<std::atomic<Score>> slots(chunks_.back().get() + used_, n);
+  used_ += n;
+  return slots;
 }
 
 std::int64_t ModeledEntryBytes(int num_terms, bool concurrent) {
@@ -70,7 +136,7 @@ ConcurrentDocMap::ConcurrentDocMap(exec::QueryContext& ctx, int num_terms,
 std::size_t ConcurrentDocMap::ApproxBytes() const {
   // DocType payload + hash node per entry, approximated for the cost
   // model (what matters is the cache level it lands in, not exact bytes).
-  return Size() * (sizeof(DocType) + 32 +
+  return Size() * (kModeledDocTypeBytes + 32 +
                    4 * static_cast<std::size_t>(num_terms_));
 }
 
@@ -87,10 +153,9 @@ ConcurrentDocMap::GetOrCreateResult ConcurrentDocMap::GetOrCreate(
   const exec::CtxLockGuard guard(*stripe.lock, worker);
   worker.StructureAccessHomed(ApproxBytes(), /*write_shared=*/true,
                               stripe.home_domain);
-  worker.ShadowAccess(&stripe.map, exec::AccessKind::kRead);
-  const auto it = stripe.map.find(doc);
-  if (it != stripe.map.end()) {
-    result.doc = it->second;
+  worker.ShadowAccess(&stripe.index, exec::AccessKind::kRead);
+  if (DocType* found = stripe.index.Find(doc)) {
+    result.doc = found;
     return result;
   }
   // A caller that observed UBStop slightly late may still reach here
@@ -104,9 +169,10 @@ ConcurrentDocMap::GetOrCreateResult ConcurrentDocMap::GetOrCreate(
   }
   worker.StructureAccessHomed(ApproxBytes(), /*write_shared=*/true,
                               stripe.home_domain, /*insert=*/true);
-  worker.ShadowAccess(&stripe.map, exec::AccessKind::kWrite);
-  DocType* created = &stripe.arena.emplace_back(doc, num_terms_);
-  stripe.map.emplace(doc, created);
+  worker.ShadowAccess(&stripe.index, exec::AccessKind::kWrite);
+  DocType* created = &stripe.arena.emplace_back(
+      doc, stripe.slab.Take(static_cast<std::size_t>(num_terms_)));
+  stripe.index.Insert(created);
   const auto new_size =
       size_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto peak = peak_.load(std::memory_order_relaxed);
@@ -132,9 +198,8 @@ DocType* ConcurrentDocMap::Find(DocId doc, exec::WorkerContext& worker) {
   const exec::CtxLockGuard guard(*stripe.lock, worker);
   worker.StructureAccessHomed(ApproxBytes(), /*write_shared=*/!read_only(),
                               stripe.home_domain);
-  worker.ShadowAccess(&stripe.map, exec::AccessKind::kRead);
-  const auto it = stripe.map.find(doc);
-  return it == stripe.map.end() ? nullptr : it->second;
+  worker.ShadowAccess(&stripe.index, exec::AccessKind::kRead);
+  return stripe.index.Find(doc);
 }
 
 ConcurrentDocMap::BatchResult ConcurrentDocMap::ApplyBatch(
@@ -159,9 +224,8 @@ ConcurrentDocMap::BatchResult ConcurrentDocMap::ApplyBatch(
     i = j;
     worker.StructureAccessHomed(ApproxBytes(), /*write_shared=*/true,
                                 stripe.home_domain);
-    worker.ShadowAccess(&stripe.map, exec::AccessKind::kRead);
-    const auto it = stripe.map.find(doc);
-    DocType* entry = it != stripe.map.end() ? it->second : nullptr;
+    worker.ShadowAccess(&stripe.index, exec::AccessKind::kRead);
+    DocType* entry = stripe.index.Find(doc);
     bool inserted = false;
     if (entry == nullptr) {
       // Same protocol as GetOrCreate: refusing an unseen doc after the
@@ -179,9 +243,10 @@ ConcurrentDocMap::BatchResult ConcurrentDocMap::ApplyBatch(
       }
       worker.StructureAccessHomed(ApproxBytes(), /*write_shared=*/true,
                                   stripe.home_domain, /*insert=*/true);
-      worker.ShadowAccess(&stripe.map, exec::AccessKind::kWrite);
-      entry = &stripe.arena.emplace_back(doc, num_terms_);
-      stripe.map.emplace(doc, entry);
+      worker.ShadowAccess(&stripe.index, exec::AccessKind::kWrite);
+      entry = &stripe.arena.emplace_back(
+          doc, stripe.slab.Take(static_cast<std::size_t>(num_terms_)));
+      stripe.index.Insert(entry);
       inserted = true;
       const auto new_size =
           size_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -228,19 +293,18 @@ bool LocalDocMap::Add(DocType* doc, exec::WorkerContext& worker) {
   }
   worker.StructureAccess(ApproxBytes(), /*write_shared=*/false,
                          /*insert=*/true);
-  map_.emplace(doc->id(), doc);
+  index_.Insert(doc);
   return true;
 }
 
 DocType* LocalDocMap::Find(DocId doc, exec::WorkerContext& worker) const {
   worker.StructureAccess(ApproxBytes(), /*write_shared=*/false);
-  const auto it = map_.find(doc);
-  return it == map_.end() ? nullptr : it->second;
+  return index_.Find(doc);
 }
 
 std::size_t LocalDocMap::ApproxBytes() const {
   // Hash node plus the referenced DocType payload the reader touches.
-  return map_.size() * (24 + sizeof(DocType) + 48);
+  return index_.size() * (24 + kModeledDocTypeBytes + 48);
 }
 
 void LocalDocMap::ReleaseModeledMemory(exec::WorkerContext& worker) {
@@ -248,7 +312,7 @@ void LocalDocMap::ReleaseModeledMemory(exec::WorkerContext& worker) {
   memory_released_ = true;
   // Releasing cannot newly exceed the budget; ignore the flag.
   (void)worker.ChargeMemory(-entry_bytes_ *
-                            static_cast<std::int64_t>(map_.size()));
+                            static_cast<std::int64_t>(index_.size()));
 }
 
 }  // namespace sparta::topk

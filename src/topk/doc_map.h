@@ -8,10 +8,16 @@
 //   * LocalDocMap      — an unsynchronized partial copy: Sparta's
 //                        termMap replicas and the cleaner's tmpDocMap.
 //
+// Both maps index their entries with a DocIndex (flat open addressing),
+// and the shared map takes every DocType's score slots from a per-stripe
+// ScoreSlab, so a new candidate costs no heap allocation of its own.
+//
 // Memory accounting: entry footprints are *modeled* after the paper's
 // Java implementation (object headers + boxed map nodes), so the memory
 // budget that decides the "crashed due to lack of memory" cells scales
-// like the original system rather than like our leaner C++ structs.
+// like the original system rather than like our leaner C++ structs. The
+// cache-level size estimates (ApproxBytes) likewise use a model constant
+// (kModeledDocTypeBytes), not the host layout of DocType.
 #pragma once
 
 #include <atomic>
@@ -20,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/context.h"
@@ -46,7 +51,9 @@ Score SumUpperBounds(const UpperBounds& ub);
 /// refreshed lazily under the heap lock (§4.3).
 class DocType {
  public:
-  DocType(DocId id, int num_terms);
+  /// `score` holds the document's m zeroed slots; the caller owns them
+  /// (a ScoreSlab) and keeps them alive as long as the record.
+  DocType(DocId id, std::span<std::atomic<Score>> score);
 
   DocType(const DocType&) = delete;
   DocType& operator=(const DocType&) = delete;
@@ -57,11 +64,10 @@ class DocType {
   std::atomic<Score> lb{0};
   std::atomic<bool> in_heap{false};
   /// Term scores observed so far (0 = not yet seen). Index = query term
-  /// position, not global TermId.
-  // sparta-lint: allow(padded-shared) deliberately compact: per-doc
-  // score slots mirror the paper's accumulator layout; padding every
-  // entry would distort the modeled memory footprint (§5.2.1).
-  std::vector<std::atomic<Score>> score;
+  /// position, not global TermId. Deliberately compact: per-doc score
+  /// slots mirror the paper's accumulator layout; padding every entry
+  /// would distort the modeled memory footprint (§5.2.1).
+  std::span<std::atomic<Score>> score;
 
   /// Σ score[i] (the document's current lower bound, recomputed).
   Score SumScores() const;
@@ -71,6 +77,74 @@ class DocType {
 
  private:
   DocId id_;
+};
+
+/// Bytes one DocType contributes to the docMaps' ApproxBytes estimates.
+/// A model constant (the record's size when the cost model was
+/// calibrated), so virtual time does not depend on the host layout.
+inline constexpr std::size_t kModeledDocTypeBytes = 48;
+
+/// Insert-only open-addressing index DocId -> DocType*: linear probing
+/// over a power-of-two slot table, kInvalidDoc as the empty key, doubled
+/// before it passes half load. Keys and entries live in parallel arrays,
+/// so a probe scans 4-byte keys and only a hit reads its entry (12 bytes
+/// a slot instead of a padded 16). Nothing is erased; a map shrinks by
+/// being rebuilt (the cleaner's pruned copy). The home slot comes from
+/// the top bits of Mix64(doc), because ConcurrentDocMap::StripeOf takes
+/// the low six: the keys of one stripe still spread over the whole table.
+class DocIndex {
+ public:
+  /// The entry stored under `doc`, or nullptr.
+  DocType* Find(DocId doc) const;
+
+  /// Stores `entry` under entry->id() unless that id is already present;
+  /// returns the entry stored under the id afterwards.
+  DocType* Insert(DocType* entry);
+
+  std::size_t size() const { return size_; }
+  std::size_t slot_count() const { return keys_.size(); }
+
+  /// Where probing for `doc` starts (valid once slot_count() > 0).
+  std::size_t HomeSlot(DocId doc) const;
+
+  /// Visits every entry once, in slot order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] != kInvalidDoc) fn(entries_[i]);
+    }
+  }
+
+ private:
+  void Grow();
+
+  std::vector<DocId> keys_;
+  std::vector<DocType*> entries_;
+  /// 64 - log2(slot_count()): HomeSlot() keeps the hash's top bits.
+  int shift_ = 64;
+  std::size_t size_ = 0;
+};
+
+/// Bump allocator of zeroed score slots for one map stripe. Slots come
+/// from chunks that start at 8 documents' worth and double up to 4096
+/// slots; a chunk is never moved or freed before the slab, so handed-out
+/// slots keep their addresses as it grows.
+class ScoreSlab {
+ public:
+  /// `n` zeroed slots that no other Take() call shares (empty if n = 0).
+  std::span<std::atomic<Score>> Take(std::size_t n);
+
+ private:
+  static constexpr std::size_t kMaxChunkSlots = 4096;
+
+  std::size_t chunk_slots_ = 0;  // size of the newest chunk
+  std::size_t used_ = 0;         // slots handed out from it
+  // sparta-lint: allow(padded-shared) deliberately compact: chunks pack
+  // documents' score slots back to back like the paper's per-document
+  // int[] arrays; the cost model never prices these host addresses, and
+  // padding each document's run to a cache line would multiply the
+  // slab's footprint.
+  std::vector<std::unique_ptr<std::atomic<Score>[]>> chunks_;
 };
 
 /// Modeled per-entry footprint (bytes) of the paper's Java maps.
@@ -87,13 +161,13 @@ struct PendingScore {
 };
 
 /// Striped concurrent hash map DocId -> DocType*, owning the DocType
-/// storage (arena per stripe; entries live until the map is destroyed,
-/// which lets cleaner snapshots hold raw pointers safely).
+/// storage (arena and score slab per stripe; entries live until the map
+/// is destroyed, which lets cleaner snapshots hold raw pointers safely).
 class ConcurrentDocMap {
  public:
   static constexpr int kStripes = 64;
 
-  /// `num_terms` sizes each DocType's score vector (0 for accumulator
+  /// `num_terms` sizes each DocType's score slots (0 for accumulator
   /// maps like pJASS's). `modeled_entry_bytes` overrides the default
   /// Java-footprint model (pJASS's per-document lock objects make its
   /// entries heavier); 0 keeps the default. The stripe locks are
@@ -203,11 +277,7 @@ class ConcurrentDocMap {
   template <typename Fn>
   void ForEach(Fn&& fn) const SPARTA_NO_THREAD_SAFETY_ANALYSIS {
     SPARTA_CHECK(read_only());
-    for (const auto& stripe : stripes_) {
-      // sparta-lint: allow(unordered-iter) order-insensitive: consumers
-      // fold into a TopKHeap (strict total order on (score, doc)).
-      for (const auto& [id, doc] : stripe.map) fn(doc);
-    }
+    for (const auto& stripe : stripes_) stripe.index.ForEach(fn);
   }
 
   /// Race-detector-visible variant of the unlocked scan. When the map is
@@ -227,10 +297,8 @@ class ConcurrentDocMap {
     const bool frozen = read_only();
     for (const auto& stripe : stripes_) {
       if (frozen) worker.AnnotateAcquire(stripe.lock.get());
-      worker.ShadowAccess(&stripe.map, exec::AccessKind::kRead);
-      // sparta-lint: allow(unordered-iter) order-insensitive: consumers
-      // fold into a TopKHeap (strict total order on (score, doc)).
-      for (const auto& [id, doc] : stripe.map) fn(doc);
+      worker.ShadowAccess(&stripe.index, exec::AccessKind::kRead);
+      stripe.index.ForEach(fn);
     }
   }
 
@@ -240,10 +308,8 @@ class ConcurrentDocMap {
   void ForEachLocked(Fn&& fn, exec::WorkerContext& worker) {
     for (auto& stripe : stripes_) {
       const exec::CtxLockGuard guard(*stripe.lock, worker);
-      worker.ShadowAccess(&stripe.map, exec::AccessKind::kRead);
-      // sparta-lint: allow(unordered-iter) order-insensitive: consumers
-      // fold into a TopKHeap (strict total order on (score, doc)).
-      for (const auto& [id, doc] : stripe.map) fn(doc);
+      worker.ShadowAccess(&stripe.index, exec::AccessKind::kRead);
+      stripe.index.ForEach(fn);
     }
   }
 
@@ -252,8 +318,9 @@ class ConcurrentDocMap {
  private:
   struct Stripe {
     std::unique_ptr<exec::CtxLock> lock;
-    std::unordered_map<DocId, DocType*> map SPARTA_GUARDED_BY(*lock);
+    DocIndex index SPARTA_GUARDED_BY(*lock);
     std::deque<DocType> arena SPARTA_GUARDED_BY(*lock);
+    ScoreSlab slab SPARTA_GUARDED_BY(*lock);
     /// NUMA domain whose memory backs this stripe (0 without topology).
     int home_domain = 0;
   };
@@ -279,23 +346,17 @@ class LocalDocMap {
   explicit LocalDocMap(int num_terms)
       : entry_bytes_(ModeledEntryBytes(num_terms, /*concurrent=*/false)) {}
 
-  void Reserve(std::size_t n) { map_.reserve(n); }
-
   /// Returns false if the memory budget was exceeded.
   [[nodiscard]] bool Add(DocType* doc, exec::WorkerContext& worker);
 
   DocType* Find(DocId doc, exec::WorkerContext& worker) const;
 
-  std::size_t Size() const { return map_.size(); }
+  std::size_t Size() const { return index_.size(); }
   std::size_t ApproxBytes() const;
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    // sparta-lint: allow(unordered-iter) order-insensitive: every
-    // consumer folds accumulators into a TopKHeap, whose admission is
-    // a strict total order on (score, doc) — any visit order yields
-    // the same top-k set.
-    for (const auto& [id, doc] : map_) fn(doc);
+    index_.ForEach(fn);
   }
 
   /// Releases the modeled memory of this map (called when a snapshot is
@@ -305,7 +366,7 @@ class LocalDocMap {
  private:
   std::int64_t entry_bytes_;
   bool memory_released_ = false;
-  std::unordered_map<DocId, DocType*> map_;
+  DocIndex index_;
 };
 
 }  // namespace sparta::topk

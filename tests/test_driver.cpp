@@ -109,6 +109,28 @@ TEST_F(DriverTest, ThroughputProcessesAllQueries) {
   EXPECT_DOUBLE_EQ(res.mean_recall, 1.0);
 }
 
+TEST_F(DriverTest, ThroughputFreesEachFinishedQuery) {
+  // Warm-up and measured queries alike are harvested as they finish, so
+  // the runs alive at once stay near the queries in flight.
+  BenchDriver bench(dataset_);
+  const auto algo = algos::MakeAlgorithm("Sparta");
+  const test::CountingAlgorithm counting(*algo);
+  topk::SearchParams params;
+  params.k = 10;
+  std::vector<corpus::Query> queries;
+  for (int len = 2; len <= 4; ++len) {
+    const auto& bucket = dataset_.queries().OfLength(len);
+    queries.insert(queries.end(), bucket.begin(), bucket.begin() + 20);
+  }
+  const auto res = bench.MeasureThroughput(counting, queries, params, 4,
+                                           /*warmup=*/20);
+  EXPECT_EQ(res.queries, 40u);
+  EXPECT_DOUBLE_EQ(res.mean_recall, 1.0);
+  EXPECT_EQ(counting.prepared(), 60u);
+  EXPECT_LE(counting.peak_live(), 8u);
+  EXPECT_EQ(counting.live(), 0u);
+}
+
 TEST_F(DriverTest, ThroughputBeatsOneByOneLatency) {
   // A shared pool processing short queries FCFS must finish faster than
   // running them strictly one after another at full width.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,5 +126,54 @@ inline ::testing::AssertionResult IsExactTopK(
   }
   return ::testing::AssertionSuccess();
 }
+
+/// Wraps an algorithm and counts its QueryRuns: how many were prepared,
+/// how many are alive now, and the most alive at once. Single-threaded
+/// callers only (the simulator's serving loops).
+class CountingAlgorithm final : public topk::Algorithm {
+ public:
+  explicit CountingAlgorithm(const topk::Algorithm& inner) : inner_(inner) {}
+
+  std::string_view name() const override { return inner_.name(); }
+
+  std::unique_ptr<topk::QueryRun> Prepare(
+      const index::InvertedIndex& idx, std::vector<TermId> terms,
+      const topk::SearchParams& params,
+      exec::QueryContext& ctx) const override {
+    return std::make_unique<CountedRun>(
+        inner_.Prepare(idx, std::move(terms), params, ctx), *counts_);
+  }
+
+  std::size_t prepared() const { return counts_->prepared; }
+  std::size_t live() const { return counts_->live; }
+  std::size_t peak_live() const { return counts_->peak; }
+
+ private:
+  struct Counts {
+    std::size_t prepared = 0;
+    std::size_t live = 0;
+    std::size_t peak = 0;
+  };
+
+  class CountedRun final : public topk::QueryRun {
+   public:
+    CountedRun(std::unique_ptr<topk::QueryRun> inner, Counts& counts)
+        : inner_(std::move(inner)), counts_(counts) {
+      ++counts_.prepared;
+      counts_.peak = std::max(counts_.peak, ++counts_.live);
+    }
+    ~CountedRun() override { --counts_.live; }
+
+    void Start() override { inner_->Start(); }
+    topk::SearchResult TakeResult() override { return inner_->TakeResult(); }
+
+   private:
+    std::unique_ptr<topk::QueryRun> inner_;
+    Counts& counts_;
+  };
+
+  const topk::Algorithm& inner_;
+  std::unique_ptr<Counts> counts_ = std::make_unique<Counts>();
+};
 
 }  // namespace sparta::test

@@ -204,7 +204,7 @@ TEST(DiskFormatTest, TruncatedFileRejected) {
   std::filesystem::remove(path);
 }
 
-// --- Payload checksums (SPARTA02 integrity footer) -------------------
+// --- Payload checksums (SPARTA03 integrity footer) -------------------
 
 namespace {
 
@@ -282,7 +282,7 @@ TEST(DiskFormatTest, CorruptedHeaderAndFooterAreRejected) {
   ASSERT_TRUE(SaveIndex(idx, path));
   FlipByteAt(path, 0);
   EXPECT_FALSE(LoadIndex(path, &error).has_value());
-  EXPECT_EQ(error, "bad magic: not a SPARTA02 index file");
+  EXPECT_EQ(error, "bad magic: not a SPARTA03 index file");
   std::filesystem::remove(path);
 }
 
@@ -300,6 +300,25 @@ TEST(DiskFormatTest, PreChecksumFormatGetsClearRejection) {
   EXPECT_FALSE(LoadIndex(path, &error).has_value());
   EXPECT_EQ(error,
             "pre-checksum SPARTA01 index; rebuild with the current format");
+  std::filesystem::remove(path);
+}
+
+TEST(DiskFormatTest, BytewiseChecksumFormatGetsClearRejection) {
+  // SPARTA02 files carry bytewise checksums that the word-wide hash
+  // would misread as corruption; they get a rebuild message instead.
+  const auto idx = test::MakeTinyIndex(300, 17);
+  const std::string path = "/tmp/sparta_test_v2_magic.idx";
+  ASSERT_TRUE(SaveIndex(idx, path));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::uint64_t v2 = kIndexMagicV2;
+  ASSERT_EQ(std::fwrite(&v2, sizeof(v2), 1, f), 1u);
+  std::fclose(f);
+  std::string error;
+  EXPECT_FALSE(LoadIndex(path, &error).has_value());
+  EXPECT_EQ(error,
+            "bytewise-checksum SPARTA02 index; rebuild with the current "
+            "format");
   std::filesystem::remove(path);
 }
 

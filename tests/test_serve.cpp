@@ -484,6 +484,31 @@ TEST(ServeSimTest, QueueBoundHoldsUnderOverload) {
   EXPECT_EQ(r.max_queue_depth, sc.admission.queue_capacity);
 }
 
+TEST(ServeSimTest, HarvestFreesEachServedQuery) {
+  // A served query's run and context are freed when it is harvested, so
+  // the runs alive at once stay near the queries in flight. Kept until
+  // the serve ends, they would grow with every admitted arrival.
+  const ServeFixture fx;
+  const test::CountingAlgorithm counting(*fx.algo);
+  ServeConfig sc;
+  sc.arrivals.seed = 31;
+  sc.arrivals.rate_qps = fx.Rate(2.0);
+  sc.arrivals.count = 300;
+  sc.slo = 50 * fx.mean_service;
+  sim::SimConfig config;
+  config.num_workers = 4;
+  sim::SimExecutor executor(config);
+  serve::Server server(fx.idx, counting, sc);
+  const auto r = server.ServeOnSim(executor, fx.queries, fx.params);
+  CheckInvariants(r, sc);
+  EXPECT_EQ(counting.prepared(), r.admitted);
+  EXPECT_GT(r.admitted, 250u);
+  // The simulator admits only while fewer jobs than workers wait, so a
+  // few queries per worker is the most that can be in flight.
+  EXPECT_LE(counting.peak_live(), 2u * config.num_workers);
+  EXPECT_EQ(counting.live(), 0u);
+}
+
 TEST(ServeSimTest, SheddingMonotoneInOfferedLoad) {
   const ServeFixture fx;
   std::size_t prev_turned_away = 0;

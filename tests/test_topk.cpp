@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "exec/threaded_executor.h"
@@ -186,7 +189,9 @@ TEST(LocalDocMapTest, AddFindAndMemoryRelease) {
   exec::ThreadedExecutor executor(options);
   auto ctx = executor.CreateQuery();
   ctx->Submit([&](exec::WorkerContext& w) {
-    DocType a(1, 2), b(2, 2), c(3, 2), d(4, 2);
+    ScoreSlab slab;
+    DocType a(1, slab.Take(2)), b(2, slab.Take(2)), c(3, slab.Take(2)),
+        d(4, slab.Take(2));
     LocalDocMap map(2);
     EXPECT_TRUE(map.Add(&a, w));
     EXPECT_TRUE(map.Add(&b, w));
@@ -202,6 +207,100 @@ TEST(LocalDocMapTest, AddFindAndMemoryRelease) {
     EXPECT_TRUE(fresh.Add(&a, w));
   });
   ctx->RunToCompletion();
+}
+
+// --- flat index and score slab -------------------------------------
+
+TEST(DocIndexTest, MatchesStdMapReference) {
+  // Seeded random inserts and lookups, duplicates included, against a
+  // std::map reference; the index grows through every power of two up
+  // to 32K slots on the way.
+  util::Rng rng(20200222);
+  ScoreSlab slab;
+  std::deque<DocType> records;
+  DocIndex index;
+  std::map<DocId, DocType*> reference;
+  for (int op = 0; op < 40'000; ++op) {
+    const auto doc = static_cast<DocId>(rng.Below(20'000));
+    if (rng.Below(2) == 0) {
+      DocType* fresh = &records.emplace_back(doc, slab.Take(1));
+      const auto [it, inserted] = reference.emplace(doc, fresh);
+      EXPECT_EQ(index.Insert(fresh), it->second) << "doc " << doc;
+      if (!inserted) {
+        EXPECT_NE(it->second, fresh);  // the first record stays
+      }
+    } else {
+      const auto it = reference.find(doc);
+      EXPECT_EQ(index.Find(doc),
+                it == reference.end() ? nullptr : it->second)
+          << "doc " << doc;
+    }
+    ASSERT_EQ(index.size(), reference.size());
+  }
+  EXPECT_GT(reference.size(), 10'000u);
+  // Iteration visits each stored entry exactly once.
+  std::map<DocId, int> visits;
+  index.ForEach([&](DocType* d) {
+    EXPECT_EQ(reference.at(d->id()), d);
+    ++visits[d->id()];
+  });
+  EXPECT_EQ(visits.size(), reference.size());
+  for (const auto& [doc, n] : visits) EXPECT_EQ(n, 1) << "doc " << doc;
+}
+
+TEST(DocIndexTest, KeysOfOneStripeSpreadOverTheWholeIndex) {
+  // StripeOf uses the hash's low six bits, so every key of one stripe
+  // shares them. Home slots drawn from those bits would crowd a stripe's
+  // keys into 1/64 of its index; drawn from the other bits, they cover
+  // the table like random keys.
+  const std::size_t stripe = ConcurrentDocMap::StripeOf(0);
+  ScoreSlab slab;
+  std::deque<DocType> records;
+  DocIndex index;
+  for (DocId d = 0; index.size() < 2000; ++d) {
+    if (ConcurrentDocMap::StripeOf(d) != stripe) continue;
+    index.Insert(&records.emplace_back(d, slab.Take(0)));
+  }
+  const std::size_t slots = index.slot_count();
+  ASSERT_GE(slots, 4096u);
+  std::set<std::size_t> homes;
+  std::set<std::size_t> regions;  // which 1/64 of the table
+  for (const DocType& d : records) {
+    const std::size_t home = index.HomeSlot(d.id());
+    ASSERT_LT(home, slots);
+    homes.insert(home);
+    regions.insert(home / (slots / 64));
+  }
+  EXPECT_GT(homes.size(), slots / 4);
+  EXPECT_EQ(regions.size(), 64u);
+}
+
+TEST(ScoreSlabTest, SlotsStartZeroDoNotOverlapAndStayPut) {
+  ScoreSlab slab;
+  std::vector<std::span<std::atomic<Score>>> taken;
+  Score next = 1;
+  for (int i = 0; i < 3000; ++i) {
+    // Mixed run lengths cross several chunk boundaries and the cap.
+    const std::size_t n = 1 + static_cast<std::size_t>(i % 7);
+    const auto slots = slab.Take(n);
+    ASSERT_EQ(slots.size(), n);
+    for (auto& slot : slots) {
+      EXPECT_EQ(slot.load(), 0);
+      slot.store(next++);
+    }
+    taken.push_back(slots);
+  }
+  EXPECT_TRUE(slab.Take(0).empty());
+  // Every value written is still where it was written: no later Take()
+  // overlapped an earlier run, and no growth moved one.
+  Score expect = 1;
+  for (const auto& slots : taken) {
+    for (const auto& slot : slots) EXPECT_EQ(slot.load(), expect++);
+  }
+  std::vector<const std::atomic<Score>*> starts;
+  for (const auto& slots : taken) starts.push_back(slots.data());
+  std::sort(starts.begin(), starts.end());
+  EXPECT_EQ(std::adjacent_find(starts.begin(), starts.end()), starts.end());
 }
 
 // --- batched merge protocol (DESIGN.md §14) -------------------------
@@ -381,7 +480,8 @@ TEST(LocalAccumulatorTest, ChargesAndReleasesModeledMemory) {
 }
 
 TEST(DocTypeTest, BoundsArithmetic) {
-  DocType d(9, 3);
+  ScoreSlab slab;
+  DocType d(9, slab.Take(3));
   UpperBounds ub(3);
   ub[0].store(10);
   ub[1].store(20);
@@ -410,6 +510,39 @@ TEST(OracleTest, MatchesNaiveReference) {
     EXPECT_EQ(exact.topk[i], all[i]);
   }
   EXPECT_EQ(exact.kth_score, exact.topk.back().score);
+}
+
+TEST(OracleTest, SelectionMatchesAFullSortAtEveryK) {
+  // The oracle selects the top k instead of sorting every touched
+  // document; the answer, the k-th score and the tie boundary must be
+  // exactly what a full canonical sort gives, for every k.
+  const auto idx = test::MakeTinyIndex(2000, 21);
+  const auto terms = test::PickQueryTerms(idx, 3, 5);
+  std::vector<ResultEntry> all;
+  for (DocId d = 0; d < idx.num_docs(); ++d) {
+    Score s = 0;
+    for (const TermId t : terms) s += idx.RandomAccessScore(t, d);
+    if (s > 0) all.push_back({d, s});
+  }
+  CanonicalizeResult(all);
+  ASSERT_GT(all.size(), 100u);
+  std::size_t tied = 0;  // k values whose boundary is not empty
+  for (std::size_t k = 1; k <= all.size() + 2; ++k) {
+    const auto exact = ComputeExactTopK(idx, terms, static_cast<int>(k));
+    const std::size_t take = std::min(k, all.size());
+    const std::vector<ResultEntry> want(all.begin(),
+                                        all.begin() + static_cast<long>(take));
+    EXPECT_EQ(exact.topk, want) << "k " << k;
+    const Score kth = take == k ? all[k - 1].score : 0;
+    EXPECT_EQ(exact.kth_score, kth) << "k " << k;
+    std::vector<DocId> boundary;
+    for (std::size_t i = take; take == k && i < all.size(); ++i) {
+      if (all[i].score == kth) boundary.push_back(all[i].doc);
+    }
+    EXPECT_EQ(exact.boundary, boundary) << "k " << k;
+    tied += !boundary.empty();
+  }
+  EXPECT_GT(tied, 0u);  // the tie path ran at least once
 }
 
 TEST(OracleTest, FewerMatchesThanK) {
