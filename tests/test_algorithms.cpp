@@ -29,6 +29,13 @@ std::string CaseName(const ::testing::TestParamInfo<ExactCase>& info) {
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
+  // A case's CTest ID is this name plus gtest's byte dump of the ExactCase,
+  // which opens with the std::string's heap pointer and so changes from run
+  // to run under ASLR. Only a name under 13 characters (BMW_m3_k1_w2,
+  // pRA_m3_k1_w2) brings a varying digit of it into an ID's first 100
+  // characters; the suffix moves it past that point, so listings cut there
+  // name the same test on every build.
+  if (name.size() < 13) name += "_edge_case";
   return name;
 }
 
